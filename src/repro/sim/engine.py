@@ -4,7 +4,9 @@ The engine is deliberately minimal: a binary heap of timestamped
 callbacks with stable FIFO ordering for ties and O(1) lazy
 cancellation.  All higher-level semantics (CPU rates, scheduling,
 noise) live in other modules and interact with the engine only through
-:meth:`Engine.schedule` / :meth:`Engine.cancel`.
+:meth:`Engine.schedule` / :meth:`Engine.cancel`, plus the unchecked
+:meth:`Engine.push` / :meth:`Engine.retime` on the scheduler's rate
+loops.
 
 Determinism contract
 --------------------
@@ -16,10 +18,13 @@ Performance notes
 -----------------
 Heap entries are ``(time, seq, handle)`` tuples, so every sift
 comparison is a C-level tuple compare (``seq`` is unique — the handle
-itself is never compared).  The scheduler cancels and reschedules
-completion events on every rate change, which at paper scale means
-millions of comparisons per run; keeping them out of Python-level
-``__lt__`` is one of the largest single wins on the simulator hot path.
+itself is never compared).  The scheduler re-times completion events
+on every rate change, which at paper scale means millions of
+comparisons per run; keeping them out of Python-level ``__lt__`` is one
+of the largest single wins on the simulator hot path.  An entry is live
+while its ``seq`` equals its handle's: cancelling sets the handle's
+``seq`` to -1 and re-timing gives it a fresh one, so both leave the old
+entry dead in place.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ class EventHandle:
     growth) without scanning.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_engine")
+    __slots__ = ("time", "seq", "fn", "args", "_engine")
 
     def __init__(
         self,
@@ -61,14 +66,20 @@ class EventHandle:
         self.seq = seq
         self.fn = fn
         self.args = args
-        self.cancelled = False
         self._engine = engine
+
+    @property
+    def cancelled(self) -> bool:
+        """True once :meth:`cancel` ran."""
+        return self.seq < 0
 
     def cancel(self) -> None:
         """Mark this event as cancelled; it will be skipped when due."""
-        if self.cancelled:
+        if self.seq < 0:
             return
-        self.cancelled = True
+        # A heap entry is live only while its seq matches the handle's
+        # (see Engine.retime), so a negative seq kills the entry.
+        self.seq = -1
         # The engine nulls our back-reference once we leave the heap,
         # so a late cancel (after the callback ran) cannot skew the
         # dead-entry count.
@@ -139,24 +150,59 @@ class Engine:
                     f"cannot schedule event at t={time!r} before now={self.now!r}"
                 )
             time = now
+        return self.push(time, fn, *args)
+
+    def push(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
+        """:meth:`schedule` without the argument checks.
+
+        For hot callers that guarantee ``now <= time`` and a finite
+        ``time`` — the scheduler's completion times ``now + work / rate``
+        with a positive rate.  ``seq`` is assigned and the heap compacted
+        exactly as in :meth:`schedule` (which ends here), so the two
+        produce the same pop order.
+        """
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, fn, args, engine=self)
-        heappush(self._heap, (time, seq, handle))
-        # Heavy cancellation (rate-change rescheduling) would otherwise
-        # grow the heap without bound: once dead entries dominate,
-        # compact in place.  In place, because the run loop holds a
-        # reference to this exact list.  The floor provides hysteresis:
-        # after a rebuild the heap must double before the next one, so
-        # churn sitting just past the dead-entry threshold stays
-        # amortized O(1) per schedule instead of O(n).
-        if self._n_cancelled > 64 and self._n_cancelled * 2 > len(self._heap) >= self._compact_floor:
-            self._heap[:] = [e for e in self._heap if not e[2].cancelled]
-            heapq.heapify(self._heap)
-            self._n_cancelled = 0
-            self.compactions += 1
-            self._compact_floor = 2 * len(self._heap) + 128
+        handle = EventHandle(time, seq, fn, args, self)
+        heap = self._heap
+        heappush(heap, (time, seq, handle))
+        if self._n_cancelled > 64 and self._n_cancelled * 2 > len(heap) >= self._compact_floor:
+            self._compact()
         return handle
+
+    def retime(self, handle: EventHandle, time: float) -> None:
+        """Move a pending event to ``time``, as if cancelled and pushed anew.
+
+        The same contract as :meth:`push`.  The handle gets the next
+        ``seq`` and a new heap entry; its old entry goes dead because
+        its ``seq`` no longer matches.  Pop order, ``seq`` values and
+        compactions equal those of ``cancel()`` + ``push()``, without a
+        new handle.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        handle.time = time
+        handle.seq = seq
+        self._n_cancelled += 1
+        heap = self._heap
+        heappush(heap, (time, seq, handle))
+        if self._n_cancelled > 64 and self._n_cancelled * 2 > len(heap) >= self._compact_floor:
+            self._compact()
+
+    def _compact(self) -> None:
+        # Heavy cancellation (rate-change rescheduling) would otherwise
+        # grow the heap without bound: once dead entries dominate (the
+        # test after every push), compact in place.  In place, because
+        # the run loop holds a reference to this exact list.  The floor
+        # provides hysteresis: after a rebuild the heap must double
+        # before the next one, so churn sitting just past the dead-entry
+        # threshold stays amortized O(1) per push instead of O(n).
+        heap = self._heap
+        heap[:] = [e for e in heap if e[2].seq == e[1]]
+        heapq.heapify(heap)
+        self._n_cancelled = 0
+        self.compactions += 1
+        self._compact_floor = 2 * len(heap) + 128
 
     def schedule_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
@@ -199,8 +245,8 @@ class Engine:
         try:
             heap = self._heap
             while heap and not self._stopped:
-                t, _, handle = heap[0]
-                if handle.cancelled:
+                t, seq, handle = heap[0]
+                if handle.seq != seq:
                     heappop(heap)
                     self._n_cancelled -= 1
                     continue
@@ -228,8 +274,8 @@ class Engine:
                 # cluster many events on one instant.  Pop order is
                 # still (time, seq), so semantics are unchanged.
                 while heap and heap[0][0] == t and not self._stopped:
-                    _, _, handle = heappop(heap)
-                    if handle.cancelled:
+                    _, seq, handle = heappop(heap)
+                    if handle.seq != seq:
                         self._n_cancelled -= 1
                         continue
                     fn, args = handle.fn, handle.args
@@ -266,7 +312,7 @@ class Engine:
         retain dead entries.
         """
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2].seq != heap[0][1]:
             heappop(heap)
             self._n_cancelled -= 1
         return heap[0][0] if heap else None

@@ -25,6 +25,8 @@ Semantics modelled (each is load-bearing for the paper's findings):
 
 from __future__ import annotations
 
+import sys
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.sim.cpu import Topology
@@ -35,10 +37,11 @@ from repro.sim.task import SchedPolicy, Task, WorkPool
 __all__ = ["Scheduler", "SchedParams"]
 
 _DONE_EPS = 1e-12
-
-
-def _by_tid(t: "Task") -> int:
-    return t.tid
+_by_tid = attrgetter("tid")
+#: error growth per term of one running-estimate update of the
+#: bandwidth sum: ~4x the float64 bound for re-summing n terms plus one
+#: subtraction (see :meth:`Scheduler._rerate`)
+_SUM_ERR_PER_TERM = 4 * sys.float_info.epsilon
 
 
 class SchedParams:
@@ -150,6 +153,11 @@ class Scheduler:
         self._mem_running: dict[int, Task] = {}  # tid -> task with demand & share > 0
         self._mem_scale = 1.0
         self._mem_rescale_pending = False
+        #: running estimate of the insertion-order bandwidth sum
+        #: Σ mem_demand·cpu_share over ``_mem_running`` and its absolute
+        #: error bound; a negative bound means "no estimate" (see _rerate)
+        self._demand_sum = 0.0
+        self._demand_err = -1.0
         self._starvation_pending: set[int] = set()
         self._starved_since: dict[int, float] = {}
         self._last_migration: dict[int, float] = {}
@@ -361,9 +369,10 @@ class Scheduler:
     def _update(self, cpus: set[int]) -> None:
         """Advance + recompute rates for ``cpus`` (and coupled CPUs).
 
-        This is *the* simulator hot path — it runs once per scheduler
-        event (hundreds of thousands of times per rep at paper scale),
-        so it trades a little readability for allocation-free inner
+        This is *the* simulator hot path — it runs on every scheduler
+        event except the spin-alone completions :meth:`_spin_alone`
+        handles (and those share its phases 3–4, :meth:`_rerate`), so
+        it trades a little readability for allocation-free inner
         loops: shares live in task slots validated by an epoch counter
         instead of a per-call dict, :meth:`Task.advance` is inlined,
         and topology/param lookups are hoisted.  Every float expression
@@ -432,7 +441,7 @@ class Scheduler:
                                 t.work_remaining = 0.0
                     t._last_update = now
                 append(t)
-            # raw shares (mirrors _compute_shares, writing task slots)
+            # raw shares, written to task slots
             speed = 1.0 - state.steal
             sib = sibling[c]
             if sib is not None and (fifo or other):
@@ -471,66 +480,154 @@ class Scheduler:
                         t._new_share = 0.0
                         t._share_epoch = epoch
 
+        self._rerate(touched, epoch)
+
+        # Phase 5: idle CPUs may pull starved/shared work.
+        for c in order:
+            state = cpu_states[c]
+            if not (state.fifo or state.other):
+                self._try_pull(c)
+
+    def _rerate(
+        self,
+        touched: list[Task],
+        epoch: int,
+        departed: Optional[float] = None,
+        rescale: Optional[float] = None,
+    ) -> None:
+        """Phases 3–4 of a rate recompute: bandwidth, then rates.
+
+        ``touched`` holds the tasks whose new shares were staged in
+        ``epoch``.  This is the one place rates are assigned; it serves
+        three callers:
+
+        * :meth:`_update` (both optional arguments unset) decides the
+          bandwidth scale from the exact sum;
+        * the spin-alone completion fast path passes ``departed``, the
+          bandwidth term of the task that just stopped streaming, so
+          the decision can come from the running estimate;
+        * :meth:`_apply_mem_rescale` passes ``rescale``, the scale it
+          already decided on.  It rates tasks as ``cpu_share * scale``
+          (no ``speed_penalty`` — a known issue pinned by the tests)
+          and reschedules every one of them.
+        """
+        now = self.engine.now
+        mem_running = self._mem_running
         # Phase 3: memory bandwidth rescale.  Demand is weighted by CPU
         # share: a task holding 65% of an SMT sibling (or starved by
         # FIFO noise) only pulls that fraction of its bandwidth, so the
         # freed bandwidth flows to the other streaming threads.
         # Compute-only updates (no streaming task anywhere, scale at
         # 1.0) skip the phase outright.
-        mem_running = self._mem_running
         need_mem = bool(mem_running) or self._mem_scale != 1.0
         if not need_mem:
             for t in touched:
                 if t.mem_demand > 0.0:
                     need_mem = True
                     break
-        if need_mem:
+        apply = deferred = rescale is not None
+        if deferred:
+            new_scale = rescale
+        elif need_mem:
             for t in touched:
                 if t.mem_demand > 0.0 and t._new_share > 0.0:
                     mem_running[t.tid] = t
                 else:
                     mem_running.pop(t.tid, None)
-            total_demand = 0.0
-            for t in mem_running.values():
-                total_demand += t.mem_demand * (
-                    t._new_share if t._share_epoch == epoch else t.cpu_share
-                )
-            new_scale = self.memory.scale_for(total_demand)
+            tolerance = self.params.mem_rescale_tolerance
+            old_scale = self._mem_scale
+            n = len(mem_running)
             # Propagating a rescale costs O(all streaming tasks).  Large
             # jumps (a region starting or draining) apply immediately; the
             # small per-completion cascade at a region's tail is coalesced
             # into one deferred rescale so it stays O(n log n) per region.
-            drift = abs(new_scale - self._mem_scale) / self._mem_scale
-            scale_changed = drift > 0.25 or (drift > 1e-12 and len(mem_running) <= 4)
-            if drift > params.mem_rescale_tolerance and not scale_changed:
-                self._arm_mem_rescale()
-            if scale_changed:
-                # Advance mem tasks outside the affected set at their old
-                # rates before applying the new scale.
-                for t in sorted(mem_running.values(), key=_by_tid):
-                    if t._share_epoch != epoch:
-                        t.advance(now)
-                        append(t)
-                        t._new_share = t.cpu_share
-                        t._share_epoch = epoch
-                self._mem_scale = new_scale
+            exact = True
+            if departed is not None and self._demand_err >= 0.0 and n > 4:
+                # Only a departure changed the sum since it was last
+                # taken exactly, so the decision can come from the
+                # running estimate whenever the whole error interval
+                # lands on one side of every threshold.  The scale is
+                # monotone in the demand, so the interval's ends bound
+                # the drift unless it straddles the current scale.
+                est = self._demand_sum
+                err = self._demand_err
+                if departed:
+                    err += (n + 3) * _SUM_ERR_PER_TERM * (est + err)
+                    est -= departed
+                    self._demand_sum = est
+                    self._demand_err = err
+                lo = est - err
+                scale_for = self.memory.scale_for
+                s_lo = scale_for(lo if lo > 0.0 else 0.0)
+                s_hi = scale_for(est + err)
+                if not s_hi < old_scale < s_lo:
+                    d_lo = abs(s_lo - old_scale) / old_scale
+                    d_hi = abs(s_hi - old_scale) / old_scale
+                    if d_lo <= 0.25 and d_hi <= 0.25:
+                        if d_lo > tolerance and d_hi > tolerance:
+                            exact = False
+                            self._arm_mem_rescale()
+                        elif d_lo <= tolerance and d_hi <= tolerance:
+                            exact = False
+            if exact:
+                total_demand = 0.0
+                for t in mem_running.values():
+                    total_demand += t.mem_demand * (
+                        t._new_share if t._share_epoch == epoch else t.cpu_share
+                    )
+                self._demand_sum = total_demand
+                self._demand_err = 0.0
+                new_scale = self.memory.scale_for(total_demand)
+                drift = abs(new_scale - old_scale) / old_scale
+                apply = drift > 0.25 or (drift > 1e-12 and n <= 4)
+                if drift > tolerance and not apply:
+                    self._arm_mem_rescale()
+        else:
+            # nothing streams: the (empty) sum is exact
+            self._demand_sum = 0.0
+            self._demand_err = 0.0
+        if apply:
+            # Advance mem tasks outside the affected set at their old
+            # rates before applying the new scale.
+            append = touched.append
+            for t in sorted(mem_running.values(), key=_by_tid):
+                if t._share_epoch != epoch:
+                    # inlined Task.advance(now)
+                    dt = now - t._last_update
+                    if dt >= 0:
+                        if dt and t.rate > 0.0:
+                            consumed = t.rate * dt
+                            t.total_cpu_time += consumed
+                            if t.pool is not None:
+                                t.pool.consume(consumed)
+                            elif t.work_remaining is not None:
+                                t.work_remaining -= consumed
+                                if t.work_remaining < 0.0:
+                                    t.work_remaining = 0.0
+                        t._last_update = now
+                    append(t)
+                    t._new_share = t.cpu_share
+                    t._share_epoch = epoch
+            self._mem_scale = new_scale
 
         # Phase 4: assign effective rates and reschedule completions.
         # A completion event stays valid while the rate is unchanged
         # (it was computed from the same constant-rate trajectory), so
         # only genuinely re-rated tasks pay the heap churn.
         mem_scale = self._mem_scale
-        engine = self.engine
-        schedule = engine.schedule
+        cpu_states = self._cpus
+        push = self.engine.push
+        retime = self.engine.retime
+        task_done = self._task_done
         pools: dict[int, WorkPool] = {}
         for t in touched:
             share = t._new_share
             # share * 1.0 is bit-exact, so the no-demand branch skips
             # the multiply without changing results.
             eff = share * mem_scale if t.mem_demand > 0.0 else share
-            if t.speed_penalty != 1.0:
+            if t.speed_penalty != 1.0 and not deferred:
                 eff *= t.speed_penalty
-            rate_changed = eff != t.rate
+            rate_changed = deferred or eff != t.rate
             t.cpu_share = share
             t.rate = eff
             if t._run_started is None and eff > 0.0:
@@ -540,15 +637,20 @@ class Scheduler:
                 if rate_changed:
                     pools[id(pool)] = pool
             elif rate_changed or (t._completion_event is None and t.work_remaining is not None):
-                # inlined _reschedule_task (engine.now == now throughout
-                # _update, so schedule_after(wr / eff) == schedule(now + wr / eff))
+                # inlined _reschedule_task (engine.now == now throughout,
+                # so schedule_after(wr / eff) == push(now + wr / eff));
+                # a pending event is re-timed in place, which is
+                # cancel + push without a new handle
                 ev = t._completion_event
-                if ev is not None:
-                    ev.cancel()
-                    t._completion_event = None
                 wr = t.work_remaining
                 if wr is not None and eff > 0.0:
-                    t._completion_event = schedule(now + wr / eff, self._task_done, t)
+                    if ev is None:
+                        t._completion_event = push(now + wr / eff, task_done, t)
+                    else:
+                        retime(ev, now + wr / eff)
+                elif ev is not None:
+                    ev.cancel()
+                    t._completion_event = None
             if (
                 eff == 0.0
                 and t.cpu is not None
@@ -561,12 +663,6 @@ class Scheduler:
         for pool in pools.values():
             self._reschedule_pool(pool)
 
-        # Phase 5: idle CPUs may pull starved/shared work.
-        for c in order:
-            state = cpu_states[c]
-            if not (state.fifo or state.other):
-                self._try_pull(c)
-
     def _arm_mem_rescale(self) -> None:
         if self._mem_rescale_pending:
             return
@@ -575,61 +671,15 @@ class Scheduler:
 
     def _apply_mem_rescale(self) -> None:
         self._mem_rescale_pending = False
-        now = self.engine.now
-        live = [
-            t
-            for t in sorted(self._mem_running.values(), key=lambda t: t.tid)
-            if t.alive and t.cpu is not None
-        ]
+        # Every member is alive and placed: remove() and _migrate() drop
+        # a task from _mem_running before it leaves its CPU.
+        live = sorted(self._mem_running.values(), key=_by_tid)
         total = sum(t.mem_demand * t.cpu_share for t in live)
         new_scale = self.memory.scale_for(total)
         if abs(new_scale - self._mem_scale) / self._mem_scale <= 1e-12:
             return
-        self._mem_scale = new_scale
-        pools: dict[int, WorkPool] = {}
-        for t in live:
-            t.advance(now)
-            t.rate = t.cpu_share * new_scale
-            if t.pool is not None:
-                pools[id(t.pool)] = t.pool
-            else:
-                self._reschedule_task(t)
-        for pool in pools.values():
-            self._reschedule_pool(pool)
-
-    def _raw_share(self, task: Task) -> float:
-        cpu = task.cpu
-        if cpu is None:
-            return 0.0
-        shares: dict[int, float] = {}
-        self._compute_shares(cpu, shares)
-        return shares.get(task.tid, 0.0)
-
-    def _cpu_speed(self, cpu: int) -> float:
-        state = self._cpus[cpu]
-        speed = 1.0 - state.steal
-        sib = self._sibling[cpu]
-        if sib is not None and self._cpus[sib].busy() and state.busy():
-            speed *= self.params.smt_factor
-        return speed
-
-    def _compute_shares(self, cpu: int, out: dict[int, float]) -> None:
-        state = self._cpus[cpu]
-        speed = self._cpu_speed(cpu)
-        if state.fifo:
-            head = state.fifo[0]
-            fifo_share = self.params.rt_throttle_share if self.rt_throttle else 1.0
-            out[head.tid] = speed * fifo_share
-            for t in state.fifo[1:]:
-                out[t.tid] = 0.0
-            leftover = speed * (1.0 - fifo_share)
-            total_w = sum(t.weight for t in state.other)
-            for t in state.other:
-                out[t.tid] = leftover * t.weight / total_w if total_w > 0 else 0.0
-        else:
-            total_w = sum(t.weight for t in state.other)
-            for t in state.other:
-                out[t.tid] = speed * t.weight / total_w if total_w > 0 else 0.0
+        self._epoch = epoch = self._epoch + 1
+        self._rerate([], epoch, rescale=new_scale)
 
     # ------------------------------------------------------------------
     # completion events
@@ -657,8 +707,12 @@ class Scheduler:
         if task.persistent:
             # Team threads stay on their CPU, busy-waiting at the
             # barrier (OMP_WAIT_POLICY=active behaviour).
-            task.to_spin()
-            self._update({task.cpu})
+            state = self._cpus[task.cpu]
+            if state.fifo or len(state.other) != 1:
+                task.to_spin()
+                self._update({task.cpu})
+            else:
+                self._spin_alone(task)
             if task.on_complete is not None:
                 task.on_complete(task)
             return
@@ -666,6 +720,23 @@ class Scheduler:
         self.remove(task)
         if task.on_complete is not None:
             task.on_complete(task)
+
+    def _spin_alone(self, task: Task) -> None:
+        """Turn a finished thread that is alone on its CPU to spinning.
+
+        The fast path of :meth:`_task_done` for a static region's thread
+        reaching the barrier.  Membership, weights, steal and busy state
+        are all unchanged, so the sibling's speed and the task's share
+        are too: it is :meth:`_update` minus the dirty-CPU, sibling and
+        share phases, and the bandwidth decision may come from the
+        running estimate.
+        """
+        departed = task.mem_demand * task.cpu_share if task.tid in self._mem_running else 0.0
+        task.to_spin()
+        self._epoch = epoch = self._epoch + 1
+        task._new_share = task.cpu_share
+        task._share_epoch = epoch
+        self._rerate([task], epoch, departed)
 
     def _reschedule_pool(self, pool: WorkPool) -> None:
         if pool._completion_event is not None:

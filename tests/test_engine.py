@@ -237,3 +237,88 @@ class TestLazyHeapMaintenance:
         engine.run()
         expected = [i for _, i in sorted(keep, key=lambda p: (p[0], p[1]))]
         assert order == expected
+
+
+class TestLeanPush:
+    """``Engine.push`` skips ``schedule``'s argument checks but must be
+    interchangeable with it: same ``seq`` values, same pop order, same
+    compactions.  Each script below replays one of the churn patterns
+    above through either entry point."""
+
+    @staticmethod
+    def _heavy_cancellation(engine, add, log):
+        for i in range(5000):
+            h = add(1.0 + i * 1e-6, log.append, i)
+            if i % 100:
+                h.cancel()
+
+    @staticmethod
+    def _hysteresis(engine, add, log):
+        for i in range(20_000):
+            add(1.0 + i * 1e-7, log.append, i).cancel()
+
+    @staticmethod
+    def _floor_reset(engine, add, log):
+        for i in range(2000):
+            add(10.0 + i * 1e-6, log.append, i)
+        for i in range(5000):
+            add(1.0 + i * 1e-7, log.append, -i).cancel()
+        for i in range(500):
+            add(2.0 + i * 1e-7, log.append, -i).cancel()
+
+    @staticmethod
+    def _ties_and_order(engine, add, log):
+        for i in range(300):
+            h = add(1.0 + (i % 7) * 0.1, log.append, i)
+            if i % 3:
+                h.cancel()
+        # events pushed from inside callbacks, at and after `now`
+        add(1.05, lambda: [add(engine.now + d, log.append, f"in{d}") for d in (0.0, 0.0, 0.2)])
+
+    @pytest.mark.parametrize("script", ["_heavy_cancellation", "_hysteresis", "_floor_reset",
+                                        "_ties_and_order"])
+    def test_push_is_interchangeable_with_schedule(self, script):
+        def replay(entry):
+            engine = Engine()
+            log = []
+            seqs = []
+
+            def add(time, fn, *args):
+                h = getattr(engine, entry)(time, fn, *args)
+                seqs.append(h.seq)
+                return h
+
+            getattr(self, script)(engine, add, log)
+            before_run = (engine.compactions, len(engine._heap), engine.pending_count())
+            engine.run()
+            return log, seqs, before_run, engine.compactions, engine.events_executed
+
+        assert replay("push") == replay("schedule")
+
+    def test_retime_is_cancel_plus_push(self):
+        # The scheduler's rescale churn: every pending completion moves
+        # on each rate change, some are dropped, new ones arrive.
+        def replay(use_retime):
+            engine = Engine()
+            log = []
+            handles = [engine.push(1.0 + i * 1e-3, log.append, i) for i in range(40)]
+            seqs = []
+            for rnd in range(300):
+                for k, h in enumerate(handles):
+                    if h is None or (k + rnd) % 3:
+                        continue
+                    time = 1.0 + ((k * 7 + rnd) % 40) * 1e-3
+                    if use_retime:
+                        engine.retime(h, time)
+                    else:
+                        h.cancel()
+                        handles[k] = h = engine.push(time, log.append, k)
+                    seqs.append(h.seq)
+                if rnd % 50 == 49 and handles[rnd % 40] is not None:
+                    handles[rnd % 40].cancel()
+                    handles[rnd % 40] = None
+                seqs.append((engine.compactions, engine.pending_count(), len(engine._heap)))
+            engine.run()
+            return log, seqs, engine.compactions, engine.events_executed
+
+        assert replay(True) == replay(False)
