@@ -238,10 +238,6 @@ class Job:
     #: rep-index slice ``[chunk_start, chunk_stop)`` for chunk sub-jobs
     chunk_start: Optional[int] = None
     chunk_stop: Optional[int] = None
-    #: sibling chunks already leased or done, filled in by ``lease()``
-    #: for the scheduler's finish-in-flight-cells-first bonus (never
-    #: persisted — it is a property of the queue snapshot, not the job)
-    siblings_active: int = field(default=0, compare=False)
     #: workers that died (or vanished) while holding this job's lease:
     #: ``[{"worker", "pid", "attempt", "at", "detail"}, ...]``
     deaths: list = field(default_factory=list)
@@ -854,34 +850,25 @@ class JobQueue:
         claimable here without any separate reaper process.  Candidate
         order is the :class:`~repro.service.scheduler.Scheduler`'s
         ranking when one is supplied, else FIFO by submission time
-        (deterministically tie-broken by key either way).  Chunk
-        sub-jobs carry ``siblings_active`` (leased + done siblings) so
-        the scheduler can prefer finishing in-flight cells.
+        (deterministically tie-broken by key either way).  The ranking
+        runs inside SQLite with ``LIMIT``, so only the claimed rows are
+        decoded (:meth:`Job.from_row`); ``limit <= 0`` claims nothing.
         """
         now = time.time()
+        if scheduler is not None:
+            order, params = scheduler.order_by(now)
+        else:
+            order, params = "submitted_at, key", {}
+        params["limit"] = max(0, limit)
 
         def body(conn: sqlite3.Connection):
             requeued = self._expire_stale(conn, now)
             rows = conn.execute(
                 "SELECT * FROM jobs WHERE status = 'queued'"
-                " ORDER BY submitted_at, key"
+                f" ORDER BY {order} LIMIT :limit",
+                params,
             ).fetchall()
-            jobs = [Job.from_row(r) for r in rows]
-            if any(job.parent is not None for job in jobs):
-                progress = {
-                    r["parent"]: r["n"]
-                    for r in conn.execute(
-                        "SELECT parent, COUNT(*) AS n FROM jobs"
-                        " WHERE parent IS NOT NULL AND status IN ('leased', 'done')"
-                        " GROUP BY parent"
-                    )
-                }
-                for job in jobs:
-                    if job.parent is not None:
-                        job.siblings_active = progress.get(job.parent, 0)
-            if scheduler is not None:
-                jobs = scheduler.rank(jobs, now)
-            claimed = jobs[: max(0, limit)]
+            claimed = [Job.from_row(r) for r in rows]
             for job in claimed:
                 conn.execute(
                     "UPDATE jobs SET status = 'leased', lease_owner = ?,"

@@ -1,7 +1,7 @@
 """Scheduler: ranks queued cells for lease order.
 
-Scoring is a pure function of the job row and the clock, so the
-ranking is reproducible from the queue database alone::
+Scoring is a pure function of the queue database and the clock, so the
+ranking is reproducible from the queue file alone::
 
     score = priority * w.priority
           + age_s    * w.aging
@@ -31,18 +31,17 @@ ranking is reproducible from the queue database alone::
   confirming it before the dead-letter quarantine trips.
 
 Ties break deterministically by submission time then key, so two
-schedulers over the same snapshot produce the same order.  Scheduling
-affects *when* a cell runs, never *what* it computes — results are
-content-keyed and bit-identical in any execution order.
+schedulers over the same snapshot produce the same order.  The score
+runs inside SQLite as the ``ORDER BY`` of the lease query
+(:meth:`Scheduler.order_by`), so a lease decodes only the rows it
+claims, however deep the queue.  Scheduling affects *when* a cell
+runs, never *what* it computes — results are content-keyed and
+bit-identical in any execution order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.queue import Job
+from dataclasses import asdict, dataclass
 
 __all__ = ["Scheduler", "SchedulerWeights"]
 
@@ -75,31 +74,36 @@ class SchedulerWeights:
     hazard: float = 500.0
 
 
+#: the score of one queued ``jobs`` row, as SQL: the terms of the
+#: module docstring in its order, left to right, so SQLite's IEEE
+#: doubles reproduce the float arithmetic term for term.  A chunk is in
+#: flight when some sibling is leased or done (``idx_jobs_parent``); a
+#: death with a missing or null ``worker`` counts as one distinct worker.
+#: The NULL checks skip both subqueries on the common row (a whole
+#: cell that never lost a worker), where each would add the same 0.
+_SCORE_SQL = """
+    priority * :w_priority
+    + MAX(0.0, :now - submitted_at) * :w_aging
+    - expected_s * :w_runtime
+    + CASE WHEN cached THEN :w_cache_hit ELSE 0.0 END
+    + CASE WHEN parent IS NOT NULL AND EXISTS (
+          SELECT 1 FROM jobs AS sib WHERE sib.parent = jobs.parent
+          AND sib.status IN ('leased', 'done')
+      ) THEN :w_shard_progress ELSE 0.0 END
+    - CASE WHEN deaths IS NULL THEN 0 ELSE (
+          SELECT COUNT(DISTINCT json_quote(json_extract(value, '$.worker')))
+          FROM json_each(jobs.deaths)) END * :w_hazard"""
+
+
 class Scheduler:
-    """Deterministic scorer/ranker over queued jobs."""
+    """Deterministic lease order over the queue's ``jobs`` table."""
 
     def __init__(self, weights: SchedulerWeights | None = None):
         self.weights = weights if weights is not None else SchedulerWeights()
 
-    def score(self, job: "Job", now: float) -> float:
-        w = self.weights
-        age = max(0.0, now - job.submitted_at)
-        return (
-            job.priority * w.priority
-            + age * w.aging
-            - job.expected_s * w.runtime
-            + (w.cache_hit if job.cached else 0.0)
-            + (
-                w.shard_progress
-                if job.parent is not None and job.siblings_active > 0
-                else 0.0
-            )
-            - job.distinct_death_workers * w.hazard
-        )
-
-    def rank(self, jobs: list["Job"], now: float) -> list["Job"]:
-        """Jobs in lease order: descending score, stable deterministic
-        tie-break (submission time, then key)."""
-        return sorted(
-            jobs, key=lambda j: (-self.score(j, now), j.submitted_at, j.key)
-        )
+    def order_by(self, now: float) -> tuple[str, dict]:
+        """``ORDER BY`` clause of lease order and its bound parameters:
+        descending score, then submission time, then key."""
+        params = {f"w_{k}": float(v) for k, v in asdict(self.weights).items()}
+        params["now"] = float(now)
+        return f"{_SCORE_SQL} DESC, submitted_at, key", params

@@ -12,14 +12,18 @@ The hard guarantees under test:
 """
 
 import json
+import math
 import multiprocessing
 import os
+import random
+import shutil
 import signal
 import subprocess
 import sys
 import textwrap
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -143,53 +147,86 @@ class TestJobQueue:
 
 
 # ----------------------------------------------------------------------
+NOW = 1_000.0
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """Freeze the queue's wall clock; returns a setter for ``now``."""
+    import repro.service.queue as queue_mod
+
+    state = {"now": NOW}
+    monkeypatch.setattr(
+        queue_mod,
+        "time",
+        SimpleNamespace(
+            time=lambda: state["now"],
+            perf_counter=time.perf_counter,
+            sleep=time.sleep,
+        ),
+    )
+    return lambda now: state.update(now=now)
+
+
+def put(queue, key, submitted_at=NOW, **kw):
+    """Submit ``key`` stamped ``submitted_at``, which a client cannot set."""
+    submit(queue, key, **kw)
+    queue._conn.execute(
+        "UPDATE jobs SET submitted_at = ? WHERE key = ?", (submitted_at, key)
+    )
+
+
+def lease_keys(queue, limit, weights=None):
+    scheduler = Scheduler(weights) if weights is not None else Scheduler()
+    return [j.key for j in queue.lease("w", limit=limit, scheduler=scheduler)]
+
+
 class TestScheduler:
-    def job(self, key, **kw):
-        kw.setdefault("spec", {})
-        kw.setdefault("noise", None)
-        kw.setdefault("label", key)
-        kw.setdefault("status", "queued")
-        kw.setdefault("priority", 0)
-        kw.setdefault("expected_s", 0.0)
-        kw.setdefault("cached", False)
-        kw.setdefault("attempts", 0)
-        kw.setdefault("max_attempts", 3)
-        kw.setdefault("submitted_at", 100.0)
-        return Job(key=key, **kw)
+    """Lease order of a real queue under the scheduler's score."""
 
-    def test_priority_dominates(self):
-        s = Scheduler()
-        ranked = s.rank([self.job("lo"), self.job("hi", priority=5)], now=100.0)
-        assert [j.key for j in ranked] == ["hi", "lo"]
+    def test_priority_dominates(self, tmp_path, clock):
+        q = JobQueue(tmp_path / "q.sqlite")
+        put(q, "lo", submitted_at=100.0)
+        put(q, "hi", priority=5, submitted_at=100.0)
+        clock(100.0)
+        assert lease_keys(q, 2) == ["hi", "lo"]
 
-    def test_cached_jobs_jump_the_queue(self):
-        s = Scheduler()
-        ranked = s.rank([self.job("cold"), self.job("warm", cached=True)], now=100.0)
-        assert ranked[0].key == "warm"
+    def test_cached_jobs_jump_the_queue(self, tmp_path, clock):
+        q = JobQueue(tmp_path / "q.sqlite")
+        put(q, "cold", submitted_at=100.0)
+        put(q, "warm", cached=True, submitted_at=100.0)
+        clock(100.0)
+        assert lease_keys(q, 2)[0] == "warm"
 
-    def test_shortest_job_first_among_equals(self):
-        s = Scheduler()
-        ranked = s.rank(
-            [self.job("slow", expected_s=10.0), self.job("fast", expected_s=1.0)],
-            now=100.0,
-        )
-        assert ranked[0].key == "fast"
+    def test_shortest_job_first_among_equals(self, tmp_path, clock):
+        q = JobQueue(tmp_path / "q.sqlite")
+        put(q, "slow", expected_s=10.0, submitted_at=100.0)
+        put(q, "fast", expected_s=1.0, submitted_at=100.0)
+        clock(100.0)
+        assert lease_keys(q, 2)[0] == "fast"
 
-    def test_aging_eventually_overtakes_priority(self):
-        s = Scheduler(SchedulerWeights(priority=100.0, aging=1.0))
-        old = self.job("old", submitted_at=0.0)
+    def test_aging_eventually_overtakes_priority(self, tmp_path, clock):
+        w = SchedulerWeights(priority=100.0, aging=1.0)
         # Against a priority-1 job submitted *just now*, the old job's
         # accumulated age decides: under 100 s of waiting it loses,
         # past 100 s it overtakes every such newcomer.
-        young = s.rank([self.job("f", priority=1, submitted_at=50.0), old], now=50.0)
-        starved = s.rank([self.job("f", priority=1, submitted_at=150.0), old], now=150.0)
-        assert young[0].key == "f"
-        assert starved[0].key == "old"
+        young = JobQueue(tmp_path / "young.sqlite")
+        put(young, "f", priority=1, submitted_at=50.0)
+        put(young, "old", submitted_at=0.0)
+        starved = JobQueue(tmp_path / "starved.sqlite")
+        put(starved, "f", priority=1, submitted_at=150.0)
+        put(starved, "old", submitted_at=0.0)
+        clock(50.0)
+        assert lease_keys(young, 2, w)[0] == "f"
+        clock(150.0)
+        assert lease_keys(starved, 2, w)[0] == "old"
 
-    def test_tie_break_is_deterministic(self):
-        s = Scheduler()
-        a, b = self.job("a"), self.job("b")
-        assert [j.key for j in s.rank([b, a], now=100.0)] == ["a", "b"]
+    def test_tie_break_is_deterministic(self, tmp_path, clock):
+        q = JobQueue(tmp_path / "q.sqlite")
+        put(q, "b", submitted_at=100.0)
+        put(q, "a", submitted_at=100.0)
+        clock(100.0)
+        assert lease_keys(q, 2) == ["a", "b"]
 
     def test_queue_leases_in_scheduler_order(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
@@ -197,6 +234,161 @@ class TestScheduler:
         submit(q, "urgent", priority=9)
         keys = [j.key for j in q.lease("w1", limit=2, scheduler=Scheduler())]
         assert keys == ["urgent", "bulk"]
+
+
+# The Python ranking the SQL ``ORDER BY`` replaced, kept verbatim as the
+# oracle of the differential test below.
+def oracle_score(job, now, w):
+    age = max(0.0, now - job.submitted_at)
+    return (
+        job.priority * w.priority
+        + age * w.aging
+        - job.expected_s * w.runtime
+        + (w.cache_hit if job.cached else 0.0)
+        + (
+            w.shard_progress
+            if job.parent is not None and job.siblings_active > 0
+            else 0.0
+        )
+        - job.distinct_death_workers * w.hazard
+    )
+
+
+def oracle_rank(jobs, now, w):
+    return sorted(jobs, key=lambda j: (-oracle_score(j, now, w), j.submitted_at, j.key))
+
+
+def oracle_snapshot(queue):
+    """Queued jobs as the Python ranking saw them: every row decoded,
+    with the per-parent count of leased/done siblings."""
+    conn = queue._conn
+    progress = dict(
+        conn.execute(
+            "SELECT parent, COUNT(*) FROM jobs WHERE parent IS NOT NULL"
+            " AND status IN ('leased', 'done') GROUP BY parent"
+        ).fetchall()
+    )
+    rows = conn.execute("SELECT * FROM jobs WHERE status = 'queued'").fetchall()
+    return [
+        SimpleNamespace(
+            key=job.key,
+            priority=job.priority,
+            submitted_at=job.submitted_at,
+            expected_s=job.expected_s,
+            cached=job.cached,
+            parent=job.parent,
+            siblings_active=progress.get(job.parent, 0),
+            distinct_death_workers=job.distinct_death_workers,
+        )
+        for job in map(Job.from_row, rows)
+    ]
+
+
+def random_queue(path, seed):
+    """A seeded random queue covering every score term's edge cases."""
+    rng = random.Random(seed)
+    base_s = rng.choice([0.0, 0.1, 1.0, 3.7])
+    durations = [base_s, math.nextafter(base_s, math.inf), rng.uniform(0, 5)]
+    offsets = [0.0, 0.5, 50.0, 100.0, 1e3, -1.0, -30.0]  # negative: future
+    deaths_pool = [
+        None,
+        [],
+        [{"worker": "w1"}],
+        [{"worker": "w1"}, {"worker": "w1"}],
+        [{"worker": "w1"}, {"worker": "w2"}],
+        [{"worker": None}, {"pid": 7}, {"worker": "w2"}],
+        [{"pid": 3}],
+    ]
+    keys = [(f"c{i:02d}", None) for i in range(rng.randint(1, 10))]
+    parents = [f"p{p}" for p in range(rng.randint(0, 3))]
+    for p in parents:
+        keys += [(f"{p}:{c}", p) for c in range(rng.randint(1, 4))]
+    rows = [(p, None, "sharded", 0, 0.0, False, NOW, None) for p in parents]
+    for key, parent in keys:
+        statuses = ["queued"] * (2 if parent else 5) + ["leased", "done"]
+        deaths = rng.choice(deaths_pool)
+        rows.append((
+            key,
+            parent,
+            rng.choice(statuses),
+            rng.choice([-3, -1, 0, 0, 1, 2, 5]),
+            rng.choice(durations),
+            rng.random() < 0.2,
+            NOW - rng.choice(offsets),
+            json.dumps(deaths) if deaths is not None else None,
+        ))
+    q = JobQueue(path)
+    q._conn.execute("BEGIN")
+    q._conn.executemany(
+        "INSERT INTO jobs (key, spec, label, parent, status, priority,"
+        " expected_s, cached, submitted_at, deaths, lease_owner, lease_expires)"
+        " VALUES (?1, '{}', ?1, ?2, ?3, ?4, ?5, ?6, ?7, ?8,"
+        " CASE ?3 WHEN 'leased' THEN 'holder' END,"
+        " CASE ?3 WHEN 'leased' THEN ?7 + 1e6 END)",
+        rows,
+    )
+    q._conn.execute("COMMIT")
+    return q
+
+
+class TestLeaseOrderMatchesPythonRanking:
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_differential(self, tmp_path, clock, chunk):
+        for seed in range(chunk * 60, (chunk + 1) * 60):
+            w = SchedulerWeights()
+            if seed % 3 == 0:
+                r = random.Random(-seed)
+                w = SchedulerWeights(*(r.uniform(0.0, 1e3) for _ in range(6)))
+            k = 1 + seed % 4
+            random_queue(tmp_path / f"{seed}.sqlite", seed).close()
+            for case, limit in (("one", 1), ("k", k), ("all", 10_000)):
+                path = tmp_path / f"{seed}-{case}.sqlite"
+                shutil.copy(tmp_path / f"{seed}.sqlite", path)
+                q = JobQueue(path)
+                want = [j.key for j in oracle_rank(oracle_snapshot(q), NOW, w)]
+                assert lease_keys(q, limit, w) == want[:limit], (seed, case)
+                q.close()
+
+    def test_fifo_without_scheduler(self, tmp_path, clock):
+        q = random_queue(tmp_path / "q.sqlite", 11)
+        snap = oracle_snapshot(q)
+        want = [j.key for j in sorted(snap, key=lambda j: (j.submitted_at, j.key))]
+        assert [j.key for j in q.lease("w", limit=10_000)] == want
+
+
+class TestLeaseDecodesOnlyClaimedRows:
+    DEPTH = 300
+
+    @pytest.fixture
+    def deep(self, tmp_path, monkeypatch):
+        q = JobQueue(tmp_path / "q.sqlite")
+        for i in range(self.DEPTH):
+            put(q, f"j{i:03d}", priority=i % 7, expected_s=i * 0.01)
+        decoded = []
+        from_row = Job.from_row
+        monkeypatch.setattr(
+            Job,
+            "from_row",
+            classmethod(lambda cls, row: decoded.append(row["key"]) or from_row(row)),
+        )
+        return q, decoded
+
+    @pytest.mark.parametrize("scheduler", [Scheduler(), None], ids=["ranked", "fifo"])
+    def test_lease_decodes_at_most_limit(self, deep, scheduler):
+        q, decoded = deep
+        assert len(q.lease("w", limit=1, scheduler=scheduler)) == 1
+        assert len(decoded) == 1
+        decoded.clear()
+        assert len(q.lease("w", limit=3, scheduler=scheduler)) == 3
+        assert len(decoded) <= 3
+
+    @pytest.mark.parametrize("scheduler", [Scheduler(), None], ids=["ranked", "fifo"])
+    def test_nonpositive_limit_claims_nothing(self, deep, scheduler):
+        q, decoded = deep
+        assert q.lease("w", limit=0, scheduler=scheduler) == []
+        assert q.lease("w", limit=-1, scheduler=scheduler) == []
+        assert decoded == []
+        assert q.counts()["queued"] == self.DEPTH
 
 
 # ----------------------------------------------------------------------

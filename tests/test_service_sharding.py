@@ -33,7 +33,6 @@ from repro.harness.chunkrunner import DEFAULT_RUNNER, shard_ranges
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweep import sweep
 from repro.service import (
-    Job,
     JobQueue,
     NotifyChannel,
     Scheduler,
@@ -157,28 +156,22 @@ class TestShardedQueue:
 
 # ----------------------------------------------------------------------
 class TestSchedulerShardAffinity:
-    def job(self, key, **kw):
-        kw.setdefault("spec", {})
-        kw.setdefault("noise", None)
-        kw.setdefault("label", key)
-        kw.setdefault("status", "queued")
-        kw.setdefault("priority", 0)
-        kw.setdefault("expected_s", 0.0)
-        kw.setdefault("cached", False)
-        kw.setdefault("attempts", 0)
-        kw.setdefault("max_attempts", 3)
-        kw.setdefault("submitted_at", 100.0)
-        return Job(key=key, **kw)
+    def test_in_flight_chunks_beat_fresh_cells(self, tmp_path):
+        q = JobQueue(tmp_path / "q.sqlite")
+        q.submit("fresh", spec={"k": "fresh"}, noise=None, label="fresh")
+        submit_sharded(q, "warm", [(0, 3), (3, 6)])
+        submit_sharded(q, "cold", [(0, 3), (3, 6)])
+        # One chunk of "warm" in flight; every row submitted together,
+        # so without the bonus the key tie-break would pick "cold:0-3".
+        q._conn.execute(
+            "UPDATE jobs SET status = 'leased', lease_owner = 'w0',"
+            " lease_expires = 1e12 WHERE key = 'warm:3-6'"
+        )
+        q._conn.execute("UPDATE jobs SET submitted_at = 100.0")
+        (first,) = q.lease("w1", scheduler=Scheduler())
+        assert first.key == "warm:0-3"
 
-    def test_in_flight_chunks_beat_fresh_cells(self):
-        s = Scheduler()
-        fresh = self.job("fresh")
-        chunk = self.job("cell:0-3", parent="cell", siblings_active=1)
-        idle_chunk = self.job("cold:0-3", parent="cold", siblings_active=0)
-        ranked = s.rank([fresh, idle_chunk, chunk], now=100.0)
-        assert ranked[0].key == "cell:0-3"
-
-    def test_lease_fills_siblings_active(self, tmp_path):
+    def test_lease_sticks_with_in_flight_cell(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
         submit_sharded(q, "cell", [(0, 2), (2, 4), (4, 6)])
         q.submit("other", spec={"k": "other"}, noise=None, label="other", priority=1)
@@ -190,7 +183,10 @@ class TestSchedulerShardAffinity:
         # One sibling leased now -> the next lease sticks with the cell.
         (third,) = q.lease("w2", scheduler=Scheduler())
         assert third.parent == "cell"
-        assert third.siblings_active >= 1
+        assert any(
+            c.key != third.key and c.status in ("leased", "done")
+            for c in q.children("cell")
+        )
 
 
 # ----------------------------------------------------------------------
